@@ -45,6 +45,10 @@
 #                    leave-one-out attribution rankings against the
 #                    committed (deterministic) baseline
 #   make gate-whatif-update - refresh the what-if baseline
+#   make perfbench - smoke run of the end-to-end benchmark: 10 s of each
+#                    workload (cold-dense, storm-sparse) at seed 1; fails
+#                    unless each run's last line reports "correct": true
+#                    and "failed": 0
 #   make gate-all  - every committed gate (hotpath incl. the 16384- and
 #                    65536-GPU rows, transition, scenarios, Table-5
 #                    presets, service latency incl. the speculative arm,
@@ -59,7 +63,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 	gate-transition-update gate-scenarios \
 	gate-scenarios-update gate-presets gate-presets-update \
 	gate-service gate-service-update gate-speculative \
-	gate-speculative-update gate-whatif gate-whatif-update gate-all
+	gate-speculative-update gate-whatif gate-whatif-update gate-all \
+	perfbench
 
 test:
 	$(PYTHON) -m pytest -x -q -m "not bench"
@@ -138,3 +143,18 @@ gate-whatif-update:
 
 gate-all: gate gate-hotpath-64k gate-transition gate-scenarios \
 	gate-presets gate-service gate-speculative gate-whatif test
+
+# Passes when the result line (the last line a perfbench run prints) reads
+# "correct": true with 0 failed operations.
+PERFBENCH_OK = import json, sys; r = json.loads(sys.stdin.readlines()[-1]); \
+	sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+
+perfbench:
+	@for w in cold-dense storm-sparse; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+			--seconds 10 --trace 0) || exit 1; \
+		printf '%s\n' "$$out" | tail -n 1 | cut -c 1-120; \
+		printf '%s\n' "$$out" | python3 -c '$(PERFBENCH_OK)' || { \
+			echo "perfbench $$w: result not correct or with failed operations"; \
+			exit 1; }; \
+	done

@@ -51,6 +51,13 @@ def rate_for_level(level: int) -> float:
     return 1.0 + 1.44 * level
 
 
+def _check_rate(gpu_id: int, rate: float) -> None:
+    """Reject a rate below 1 — or NaN, which compares false both ways."""
+    if not rate >= 1.0:
+        raise ValueError(
+            f"gpu {gpu_id}: straggling rates must be >= 1, got {rate}")
+
+
 @dataclass
 class StragglerSpec:
     """A straggler to inject: which GPU, and either a level or a raw rate."""
@@ -62,8 +69,7 @@ class StragglerSpec:
     def resolved_rate(self) -> float:
         """The straggling rate implied by this spec."""
         if self.rate is not None:
-            if self.rate < 1.0:
-                raise ValueError("straggling rate must be >= 1")
+            _check_rate(self.gpu_id, self.rate)
             return self.rate
         if self.level is None:
             raise ValueError("either level or rate must be given")
@@ -87,8 +93,7 @@ class ClusterState:
         for gpu_id, rate in self.rates.items():
             if gpu_id not in full:
                 raise KeyError(f"gpu id {gpu_id} not in cluster")
-            if rate < 1.0:
-                raise ValueError("straggling rates must be >= 1")
+            _check_rate(gpu_id, rate)
             full[gpu_id] = float(rate)
         self.rates = full
 
@@ -99,8 +104,7 @@ class ClusterState:
         """Set the straggling rate of one GPU."""
         if gpu_id not in self.rates:
             raise KeyError(f"gpu id {gpu_id} not in cluster")
-        if rate < 1.0:
-            raise ValueError("straggling rates must be >= 1")
+        _check_rate(gpu_id, rate)
         self.rates[gpu_id] = float(rate)
 
     def set_level(self, gpu_id: int, level: int) -> None:

@@ -317,12 +317,19 @@ class MalleusCostModel:
         such an interleaving refreshes too (the source tag mismatches),
         so correctness never depends on call order.  Nesting is safe; the
         restore callable unwinds one level.
+
+        Pinning and releasing both clear the source tag: it is an ``id()``,
+        and a dict freed after its release can hand its address to the
+        next pinned dict, which would otherwise be served the freed dict's
+        values.
         """
         previous = self._pinned_rates
         self._pinned_rates = rates
+        self._rate_array_src = None
 
         def release() -> None:
             self._pinned_rates = previous
+            self._rate_array_src = None
 
         return release
 

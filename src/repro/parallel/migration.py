@@ -11,6 +11,14 @@ analytic estimate of the migration time from the cluster's bandwidths.  The
 simulator charges this time once per plan adjustment, which reproduces the
 ~1-5 s migration overhead the paper reports.
 
+Both ownership views (:mod:`repro.parallel.sharding`) are constant between
+stage boundaries, so :func:`plan_migration` cuts the layers into segments
+at the union of both plans' boundaries and derives per segment, once, the
+parameter-pull templates ``(dst, bytes, source pool)`` and the optimizer
+moves ``(src, dst, bytes)``.  Per layer it only replays the least-loaded
+source pick and the load updates, in the order a layer-by-layer derivation
+would perform them, so the transfer list is identical to one.
+
 Transition-aware planning
 -------------------------
 Re-planning makes migration a *recurring* cost, so the planner scores it at
@@ -176,24 +184,89 @@ def _interval_minus(needed: Interval, held: Sequence[Interval]) -> List[Interval
 # ----------------------------------------------------------------------
 # Migration planning
 # ----------------------------------------------------------------------
-def _pick_source(cluster: Cluster, dst_gpu: int, candidates: Sequence[int],
-                 outgoing_load: Optional[Dict[int, float]] = None) -> int:
-    """Pick the source GPU for a replica pull.
+def _source_pool(cluster: Cluster, dst_gpu: int,
+                 candidates: Sequence[int]) -> List[int]:
+    """Holders a replica pull to ``dst_gpu`` may be sourced from.
 
     Same-node holders are preferred (the pull then rides the intra-node
-    link); ties break by the holders' *current outgoing load* so concurrent
-    pulls of the same layer spread across the replicas instead of
-    serialising on the lowest-id holder's egress link, then by GPU id for
-    determinism.
+    link); without one, every holder qualifies.  The pull then takes the
+    pool's least-loaded GPU by *current outgoing load*, ties broken by
+    GPU id, so concurrent pulls of the same layer spread across the
+    replicas instead of serialising on the lowest-id holder's egress link.
     """
-    same_node = [
-        g for g in candidates
-        if cluster.gpu(g).node_id == cluster.gpu(dst_gpu).node_id
-    ]
-    pool = same_node or list(candidates)
-    if outgoing_load is None:
-        return min(pool)
-    return min(pool, key=lambda g: (outgoing_load.get(g, 0.0), g))
+    dst_node = cluster.gpu(dst_gpu).node_id
+    same_node = [g for g in candidates if cluster.gpu(g).node_id == dst_node]
+    return same_node or list(candidates)
+
+
+def _param_pull_templates(
+    old_plan: ParallelizationPlan,
+    new_plan: ParallelizationPlan,
+    layer: int,
+    cluster: Cluster,
+    layer_param_bytes: float,
+) -> List[Tuple[int, float, List[int]]]:
+    """Parameter pulls ``(dst, bytes, source pool)`` of one segment's layers.
+
+    Every interval a new holder needs but does not hold is pulled from the
+    old holders overlapping it, in the new ownership's (dst, interval,
+    gap) order.  Gaps with no surviving holder are freshly materialised
+    (e.g. from a checkpoint) and produce no pull.  The old holders are
+    indexed by their distinct interval, so the pool of a gap is found
+    with a handful of overlap tests instead of a scan over every holder.
+    """
+    old_params = parameter_ownership(old_plan, layer)
+    holders: Dict[Interval, List[int]] = {}
+    for gpu_id, intervals in old_params.items():
+        for interval in intervals:
+            holders.setdefault(interval, []).append(gpu_id)
+    pulls: List[Tuple[int, float, List[int]]] = []
+    for dst_gpu, needed_intervals in parameter_ownership(new_plan,
+                                                         layer).items():
+        held = old_params.get(dst_gpu, [])
+        for needed in needed_intervals:
+            for missing in _interval_minus(needed, held):
+                candidates = sorted({
+                    g for interval, gpus in holders.items()
+                    if _overlap(missing, interval) > 1e-12 for g in gpus
+                })
+                if not candidates:
+                    continue
+                num_bytes = (missing[1] - missing[0]) * layer_param_bytes
+                pulls.append((dst_gpu, num_bytes,
+                              _source_pool(cluster, dst_gpu, candidates)))
+    return pulls
+
+
+def _optimizer_move_templates(
+    old_plan: ParallelizationPlan,
+    new_plan: ParallelizationPlan,
+    layer: int,
+    layer_optimizer_bytes: float,
+) -> List[Tuple[int, int, float]]:
+    """Optimizer-slice moves ``(src, dst, bytes)`` of one segment's layers.
+
+    ZeRO-1 slices have a unique old and a unique new owner, and both slice
+    lists tile [0, 1) in ascending order, so a two-pointer merge visits
+    every overlapping (new, old) pair exactly once, in the order of a
+    nested loop over new slices then old slices.
+    """
+    old_slices = optimizer_ownership(old_plan, layer)
+    new_slices = optimizer_ownership(new_plan, layer)
+    moves: List[Tuple[int, int, float]] = []
+    i = j = 0
+    while i < len(old_slices) and j < len(new_slices):
+        old_slice, new_slice = old_slices[i], new_slices[j]
+        needed, held = new_slice.fraction, old_slice.fraction
+        overlap = _overlap(needed, held)
+        if overlap > 1e-12 and old_slice.owner_gpu != new_slice.owner_gpu:
+            moves.append((old_slice.owner_gpu, new_slice.owner_gpu,
+                          overlap * layer_optimizer_bytes))
+        if held[1] <= needed[1]:
+            i += 1
+        if needed[1] <= held[1]:
+            j += 1
+    return moves
 
 
 def plan_migration(
@@ -206,6 +279,20 @@ def plan_migration(
 ) -> MigrationPlan:
     """Compute the transfers needed to realise ``new_plan`` from ``old_plan``.
 
+    Per layer, parameter pulls come first (any old holder of a missing
+    interval can serve; see :func:`_source_pool`), then optimizer-slice
+    moves from each slice's unique old owner to its unique new owner.
+    Both feed one outgoing-load account, which steers later pulls.
+
+    Ownership only changes at stage boundaries, so the layers are cut into
+    segments at the union of both plans' boundaries and the pull and move
+    templates are derived once per segment, from the same ownership
+    functions a per-layer derivation would call.  Per layer only the
+    least-loaded source pick and the load updates are replayed, in the
+    per-layer order, so every transfer's endpoints and bytes — and every
+    float addition to the load account — are those of a layer-by-layer
+    derivation.
+
     Parameters
     ----------
     layer_param_bytes:
@@ -217,61 +304,28 @@ def plan_migration(
     if old_plan.num_layers != new_plan.num_layers:
         raise ValueError("plans describe different models")
     plan = MigrationPlan(layer_pack=layer_pack)
-    num_layers = new_plan.num_layers
+    transfers = plan.transfers
     outgoing_load: Dict[int, float] = {}
 
-    for layer in range(num_layers):
-        old_params = parameter_ownership(old_plan, layer)
-        new_params = parameter_ownership(new_plan, layer)
-        # Parameter replicas: any old holder of the needed interval can serve.
-        for dst_gpu, needed_intervals in new_params.items():
-            held = old_params.get(dst_gpu, [])
-            for needed in needed_intervals:
-                for missing in _interval_minus(needed, held):
-                    length = missing[1] - missing[0]
-                    candidates = [
-                        g for g, intervals in old_params.items()
-                        if any(_overlap(missing, i) > 1e-12 for i in intervals)
-                    ]
-                    if not candidates:
-                        continue  # freshly materialised (e.g. from checkpoint)
-                    num_bytes = length * layer_param_bytes
-                    src = _pick_source(cluster, dst_gpu, candidates,
-                                       outgoing_load)
-                    outgoing_load[src] = outgoing_load.get(src, 0.0) + num_bytes
-                    plan.transfers.append(
-                        Transfer(
-                            layer_index=layer,
-                            src_gpu=src,
-                            dst_gpu=dst_gpu,
-                            num_bytes=num_bytes,
-                            kind="param",
-                        )
-                    )
+    def load_key(gpu_id: int) -> Tuple[float, int]:
+        return outgoing_load.get(gpu_id, 0.0), gpu_id
 
-        # Optimizer slices: unique old owner -> unique new owner.
-        old_slices = optimizer_ownership(old_plan, layer)
-        new_slices = optimizer_ownership(new_plan, layer)
-        for new_slice in new_slices:
-            needed = new_slice.fraction
-            for old_slice in old_slices:
-                overlap = _overlap(needed, old_slice.fraction)
-                if overlap <= 1e-12:
-                    continue
-                if old_slice.owner_gpu == new_slice.owner_gpu:
-                    continue
-                num_bytes = overlap * layer_optimizer_bytes
-                outgoing_load[old_slice.owner_gpu] = \
-                    outgoing_load.get(old_slice.owner_gpu, 0.0) + num_bytes
-                plan.transfers.append(
-                    Transfer(
-                        layer_index=layer,
-                        src_gpu=old_slice.owner_gpu,
-                        dst_gpu=new_slice.owner_gpu,
-                        num_bytes=num_bytes,
-                        kind="optimizer",
-                    )
-                )
+    cuts = _segment_boundaries(layout_from_plan(old_plan),
+                               layout_from_plan(new_plan))
+    for start, end in zip(cuts, cuts[1:]):
+        pulls = _param_pull_templates(old_plan, new_plan, start, cluster,
+                                      layer_param_bytes)
+        moves = _optimizer_move_templates(old_plan, new_plan, start,
+                                          layer_optimizer_bytes)
+        for layer in range(start, end):
+            for dst, num_bytes, pool in pulls:
+                src = pool[0] if len(pool) == 1 else min(pool, key=load_key)
+                outgoing_load[src] = outgoing_load.get(src, 0.0) + num_bytes
+                transfers.append(Transfer(layer, src, dst, num_bytes, "param"))
+            for src, dst, num_bytes in moves:
+                outgoing_load[src] = outgoing_load.get(src, 0.0) + num_bytes
+                transfers.append(
+                    Transfer(layer, src, dst, num_bytes, "optimizer"))
     return plan
 
 
@@ -588,10 +642,7 @@ def transition_pair_traffic(
                     fresh_per_layer[dst] = fresh_per_layer.get(dst, 0.0) \
                         + volume
                     continue
-                dst_node = cluster.gpu(dst).node_id
-                same = [g for g in pool
-                        if cluster.gpu(g).node_id == dst_node]
-                pulls.append((dst, volume, same or pool))
+                pulls.append((dst, volume, _source_pool(cluster, dst, pool)))
         optimizer = _optimizer_segment_transfers(
             old_layout, new_layout, start, end, layer_optimizer_bytes)
 

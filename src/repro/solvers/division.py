@@ -46,6 +46,7 @@ soundness tests check this form against :func:`brute_force_division`.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -395,8 +396,14 @@ def _waterfill_fast_groups_legacy(
 def _evaluate(problem: DivisionProblem,
               slow_assignment: Sequence[Sequence[float]],
               fast_counts: Sequence[int],
-              use_minmax_cache: bool = True) -> Tuple[float, List[int]]:
-    """Objective value and micro-batch split for a full division."""
+              use_minmax_cache: bool = True,
+              prune_above: Optional[float] = None) -> Tuple[float, List[int]]:
+    """Objective value and micro-batch split for a full division.
+
+    ``prune_above`` is handed to the min-max solver: when one feasibility
+    probe proves the objective exceeds it, the result is ``inf`` instead
+    of the exact value (see :func:`solve_minmax_assignment`).
+    """
     dp = problem.num_pipelines
     speeds = []
     for i in range(dp):
@@ -409,7 +416,8 @@ def _evaluate(problem: DivisionProblem,
         return math.inf, [0] * dp
     weights = [1.0 / speed for speed in speeds]
     solution = solve_minmax_assignment(weights, problem.total_micro_batches,
-                                       use_cache=use_minmax_cache)
+                                       use_cache=use_minmax_cache,
+                                       prune_above=prune_above)
     if not solution.feasible:
         return math.inf, [0] * dp
     return solution.objective, solution.values
@@ -531,13 +539,22 @@ def _local_search_fast(problem: DivisionProblem,
                        fast_counts: List[int],
                        use_minmax_cache: bool = True,
                        ) -> Tuple[float, List[int], List[int]]:
-    """Improve the fast-group allocation by single-group moves."""
+    """Improve the fast-group allocation by single-group moves.
+
+    A move is kept only when its objective beats the incumbent by more
+    than ``1e-12``, so every move's min-max solve is first probed at that
+    threshold (``prune_above``): a failed probe proves every achievable
+    objective exceeds it and skips the bisection.  The skipped move would
+    have been rejected anyway, and pruned results are never cached, so
+    the search takes exactly the moves a full solve of each would.
+    """
     best_obj, best_mb = _evaluate(problem, slow_assignment, fast_counts,
                                   use_minmax_cache)
     best_counts = list(fast_counts)
     improved = True
     while improved:
         improved = False
+        threshold = best_obj - 1e-12 if math.isfinite(best_obj) else None
         for src in range(problem.num_pipelines):
             for dst in range(problem.num_pipelines):
                 if src == dst:
@@ -555,9 +572,10 @@ def _local_search_fast(problem: DivisionProblem,
                 counts[src] -= 1
                 counts[dst] += 1
                 obj, mb = _evaluate(problem, slow_assignment, counts,
-                                    use_minmax_cache)
+                                    use_minmax_cache, threshold)
                 if obj < best_obj - 1e-12:
                     best_obj, best_mb, best_counts = obj, mb, counts
+                    threshold = best_obj - 1e-12
                     improved = True
     return best_obj, best_counts, best_mb
 
@@ -631,6 +649,24 @@ def _enumerate_slow_assignments(rates: Sequence[float], dp: int,
 
     recurse(0, [[] for _ in range(dp)], 0)
     return assignments, truncated
+
+
+def _enumeration_must_truncate(rates: Sequence[float], dp: int,
+                               limit: int) -> bool:
+    """Whether :func:`_enumerate_slow_assignments` is certain to truncate.
+
+    With ``c_i`` slow groups of the ``i``-th distinct rate there are
+    ``prod_i comb(c_i + dp - 1, dp - 1)`` assignments to ``dp`` *labelled*
+    pipelines, and each canonical (pipeline-order-free) assignment stands
+    for at most ``dp!`` of them.  When the product exceeds ``limit *
+    dp!`` there are more than ``limit`` canonical assignments; the walk
+    reaches every one of them unless it stops early, so it must stop at
+    ``limit`` and report ``truncated``.  Exact integer arithmetic.
+    """
+    labelled = 1
+    for count in collections.Counter(rates).values():
+        labelled *= math.comb(count + dp - 1, dp - 1)
+    return labelled > limit * math.factorial(dp)
 
 
 def _base_speed_vector(slow_assignment: Sequence[Sequence[float]],
@@ -973,7 +1009,10 @@ def _solve_pipeline_division(problem: DivisionProblem,
     """Solve the pipeline-division MINLP.
 
     The solver enumerates symmetry-reduced slow-group assignments (falling
-    back to a greedy assignment plus local search when there are too many),
+    back to a greedy assignment plus local search when there are too many;
+    a walk that provably cannot finish under ``enumeration_limit`` — see
+    :func:`_enumeration_must_truncate` — is not started at all, since its
+    truncated list would be discarded for the fallback),
     scores every candidate cheaply by harmonic water-filling of the fast
     groups, and refines the ``refine_top_k`` best candidates with a local
     search that moves individual fast groups between pipelines; micro-batches
@@ -1027,11 +1066,14 @@ def _solve_pipeline_division(problem: DivisionProblem,
         waterfill = _waterfill_fast_groups
     if warm_start is not None and not _matches_problem(problem, warm_start):
         warm_start = None
-    if len(problem.slow_group_rates) > 24:
+    if len(problem.slow_group_rates) > 24 or _enumeration_must_truncate(
+            problem.slow_group_rates, dp, enumeration_limit):
         # At cluster scales with dozens of slow groups even the truncated
         # enumeration spends most of its time walking the search tree; the
         # greedy + local-search fallback is both faster and equally good
         # there (the groups are dominated by a handful of distinct rates).
+        # A walk that is certain to truncate is skipped too: its list
+        # would be thrown away for the fallback anyway.
         assignments, truncated = [], True
     else:
         assignments, truncated = _enumerate_slow_assignments(

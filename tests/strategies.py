@@ -2,7 +2,8 @@
 
 One place for the domain-shaped generators the property tests need:
 straggling-rate lists and maps, pipeline-division instances, small
-clusters, and whole straggler traces produced by the seeded
+clusters, hand-built parallelization plans (and pairs of them to migrate
+between), and whole straggler traces produced by the seeded
 :class:`~repro.cluster.scenarios.ScenarioGenerator` (a strategy draws the
 preset and the seed; the generator itself is deterministic, so shrinking
 stays meaningful).
@@ -23,7 +24,13 @@ from repro.cluster.scenarios import (
     ScenarioConfig,
     ScenarioGenerator,
 )
-from repro.cluster.topology import make_cluster
+from repro.cluster.topology import Cluster, make_cluster
+from repro.parallel.plan import (
+    ParallelizationPlan,
+    PipelinePlan,
+    PipelineStage,
+    TPGroup,
+)
 from repro.solvers.division import DivisionProblem
 
 #: Straggling rates stay in the paper's observed band (1x..12.53x).
@@ -93,6 +100,73 @@ def small_clusters(draw, max_nodes: int = 4, gpus_per_node: int = 8):
     num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
     return make_cluster(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
                         name=f"strategy-cluster-{num_nodes}")
+
+
+@st.composite
+def parallel_plans(draw, cluster: Cluster, num_layers: int,
+                   max_pipelines: int = 4, max_stages: int = 3,
+                   exclude=()) -> ParallelizationPlan:
+    """Non-uniform plans on ``cluster`` (GPUs in ``exclude`` stay unused).
+
+    Every stage draws its own TP degree (1, 2, 4 or 8, so ZeRO-1's
+    ``TP_max / TP_i`` split stays integral) and every pipeline its own
+    unequal stage split.  A stage's TP group is taken from one node's
+    free GPUs in a drawn order; pipelines are added until ``dp`` is
+    reached or a stage no longer fits, so at least one pipeline exists.
+    """
+    free = {
+        node.node_id: list(draw(st.permutations(
+            [g for g in node.gpu_ids() if g not in exclude])))
+        for node in cluster.nodes
+    }
+    dp = draw(st.integers(min_value=1, max_value=max_pipelines))
+    pipelines = []
+    for index in range(dp):
+        pp = draw(st.integers(min_value=1,
+                              max_value=min(max_stages, num_layers)))
+        cuts = sorted(draw(st.sets(
+            st.integers(min_value=1, max_value=num_layers - 1),
+            min_size=pp - 1, max_size=pp - 1))) if pp > 1 else []
+        bounds = [0] + cuts + [num_layers]
+        stages = []
+        for stage in range(pp):
+            degrees = [t for t in (1, 2, 4, 8)
+                       if any(len(ids) >= t for ids in free.values())]
+            if not degrees:
+                break
+            tp = draw(st.sampled_from(degrees))
+            node = draw(st.sampled_from(
+                sorted(n for n, ids in free.items() if len(ids) >= tp)))
+            group = TPGroup(tuple(free[node][:tp]))
+            del free[node][:tp]
+            stages.append(PipelineStage(
+                group=group, num_layers=bounds[stage + 1] - bounds[stage],
+                stage_index=stage + 1))
+        if len(stages) < pp:
+            break
+        pipelines.append(PipelinePlan(stages=stages, num_micro_batches=1,
+                                      pipeline_index=index))
+    return ParallelizationPlan(
+        pipelines=pipelines, micro_batch_size=1, num_layers=num_layers,
+        global_batch_size=len(pipelines),
+    )
+
+
+@st.composite
+def plan_pairs(draw, cluster: Cluster, num_layers: int = 12):
+    """``(old, new)`` plans to migrate between.
+
+    The two plans draw their dp degrees, TP degrees and stage splits
+    independently; the new plan may also leave some of the old plan's
+    GPUs out (its ``removed_gpus``), so part of their state has to move.
+    """
+    old = draw(parallel_plans(cluster, num_layers))
+    removed = draw(st.sets(st.sampled_from(old.active_gpus),
+                           max_size=len(old.active_gpus) - 1))
+    new = draw(parallel_plans(cluster, num_layers, exclude=removed))
+    new.removed_gpus = sorted(removed)
+    new.validate()
+    return old, new
 
 
 @st.composite

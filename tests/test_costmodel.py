@@ -75,6 +75,26 @@ class TestTimeModel:
             cost_model.tp_allreduce_time(2, 1)
 
 
+class TestPinnedRates:
+    def test_repinning_a_fresh_dict_never_reads_stale_values(self):
+        # A released and dropped rate dict frees its address; the next
+        # dict CPython allocates there must not be served the freed
+        # dict's values because the cached array was tagged by ``id()``.
+        pytest.importorskip("numpy")
+        cluster = paper_cluster(64)
+        cost_model = MalleusCostModel(llama2_32b(), cluster, kernels="numpy")
+        for step in range(200):
+            rate = 1.0 + step
+            rates = {gpu_id: rate for gpu_id in cluster.gpu_ids()}
+            release = cost_model.pin_rates(rates)
+            try:
+                values = cost_model.rate_array(rates).values
+                assert values.min() == values.max() == rate
+            finally:
+                release()
+            del rates, values
+
+
 class TestMemoryModel:
     def test_mu_decreases_with_stage_index(self, cost_model):
         # Later stages keep fewer in-flight activations (Theorem 3 rationale).

@@ -9,7 +9,9 @@ migrated bytes equal the uncovered measure exactly) and no over-transfer
 import math
 
 import pytest
+from hypothesis import given, settings
 
+from migration_reference import _pick_source, reference_plan_migration
 from repro.cluster.topology import paper_cluster
 from repro.core.planner import MalleusPlanner
 from repro.cluster.trace import paper_trace
@@ -21,7 +23,6 @@ from repro.parallel.migration import (
     Transfer,
     _interval_minus,
     _overlap,
-    _pick_source,
     estimate_migration_time,
     estimate_transition_cost,
     layout_from_candidate,
@@ -31,6 +32,7 @@ from repro.parallel.migration import (
 )
 from repro.parallel.plan import uniform_megatron_plan
 from repro.parallel.sharding import optimizer_ownership, parameter_ownership
+from strategies import plan_pairs
 
 pytestmark = pytest.mark.migration
 
@@ -113,6 +115,46 @@ class TestConservation:
             total = by_layer.get(layer, 0.0)
             assert total == pytest.approx(moved * OPT_BYTES, abs=1e-6)
             assert total <= OPT_BYTES + 1e-6
+
+
+class TestSegmentedPlannerMatchesReference:
+    """The per-segment planner returns the per-layer reference's transfers:
+    same order, same endpoints, same bytes to the last bit."""
+
+    @pytest.mark.parametrize("old_args,new_args", PLAN_PAIRS)
+    def test_plan_pairs(self, cluster, old_args, new_args):
+        old = make_plan(*old_args)
+        new = make_plan(*new_args)
+        assert plan_migration(old, new, cluster, PARAM_BYTES, OPT_BYTES) \
+            .transfers == reference_plan_migration(
+                old, new, cluster, PARAM_BYTES, OPT_BYTES).transfers
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=plan_pairs(paper_cluster(32)))
+    def test_generated_plan_pairs(self, pair):
+        old, new = pair
+        cluster = paper_cluster(32)
+        model = llama2_32b()
+        param = model.layer_param_bytes()
+        opt = model.params_per_layer() * 12.0
+        assert plan_migration(old, new, cluster, param, opt).transfers == \
+            reference_plan_migration(old, new, cluster, param, opt).transfers
+
+    def test_planner_plans_along_the_paper_trace(self):
+        # Consecutive plans of the real planner: non-uniform stage splits,
+        # mixed TP degrees and GPUs removed as stragglers come and go.
+        workload = paper_workload("32b")
+        planner = MalleusPlanner(workload.task, workload.cluster,
+                                 workload.cost_model)
+        plans = [planner.plan(s.rate_map(workload.cluster)).plan
+                 for s in paper_trace(workload.cluster).situations]
+        model = llama2_32b()
+        param = model.layer_param_bytes()
+        opt = model.params_per_layer() * 12.0
+        for old, new in zip(plans, plans[1:]):
+            assert plan_migration(old, new, workload.cluster, param, opt) \
+                .transfers == reference_plan_migration(
+                    old, new, workload.cluster, param, opt).transfers
 
 
 class TestTopologyAwareTiming:

@@ -93,6 +93,24 @@ class TestClusterState:
         with pytest.raises(ValueError):
             state.set_rate(0, 0.9)
 
+    def test_nan_rate_rejected_with_the_gpu_named(self):
+        # NaN compares false against 1.0 both ways, so a ``rate < 1``
+        # check lets it through; it must be refused where the state is
+        # built or mutated, so no NaN map reaches the planner or the
+        # planning service.
+        cluster = paper_cluster(8)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="gpu 3"):
+            ClusterState(cluster=cluster, rates={3: nan})
+        with pytest.raises(ValueError, match="gpu 5"):
+            state_from_rates(cluster, {5: nan})
+        state = ClusterState(cluster=cluster)
+        with pytest.raises(ValueError, match="gpu 2"):
+            state.set_rate(2, nan)
+        assert not any(math.isnan(rate) for rate in state.rates.values())
+        with pytest.raises(ValueError, match="gpu 4"):
+            StragglerSpec(gpu_id=4, rate=nan).resolved_rate()
+
     def test_failure_is_infinite(self):
         cluster = paper_cluster(8)
         state = ClusterState(cluster=cluster)
